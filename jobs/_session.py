@@ -1,10 +1,10 @@
-"""Shared SparkSession setup for the spark-submit job entrypoints.
+"""SparkSession setup for the ``jobs/run_all.py`` entry point.
 
 Mirrors the test fixture configuration in ``conftest.py`` (shuffle
 partitions, Arrow, broadcast joins disabled) so jobs measure the same
 plans the tests verify. Under ``spark-submit`` the master/memory come
-from the submit command line; run directly (``python jobs/x.py``) it
-falls back to ``local[*]``.
+from the submit command line; run directly (``python jobs/run_all.py``)
+it falls back to ``local[*]``.
 """
 
 from __future__ import annotations
@@ -28,16 +28,3 @@ def get_session(app_name: str) -> SparkSession:
         .getOrCreate()
     )
 
-
-def run_table(name: str) -> None:
-    """Build one table (by key 'T1'…'T8') and print it as markdown."""
-    from repro.core.tables import ALL_TABLES, to_markdown
-
-    spark = get_session(f"repro-{name}")
-    spark.sparkContext.setLogLevel("ERROR")
-    try:
-        pdf = ALL_TABLES[name](spark)
-        print(f"\n## Table {name}\n")
-        print(to_markdown(pdf))
-    finally:
-        spark.stop()

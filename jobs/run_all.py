@@ -1,12 +1,14 @@
-"""Reproduce every table (T1–T8) in one Spark session.
+"""Reproduce the tables T1–T8 in one Spark session.
 
 Usage:
-    spark-submit jobs/run_all.py [output.md]
+    spark-submit jobs/run_all.py [T1 … T8] [output.md]
+    (or: python jobs/run_all.py …)
 
-Prints each table as markdown; with an output path, also writes the
-combined report there (this is how the numbers in EXPERIMENTS.md were
-generated). One session is reused so the chain DataFrames and collected
-series are generated once and shared across tables.
+Builds the named tables (all eight when none is named) and prints each
+as markdown; with an output path, also writes the combined report there
+(this is how the numbers in EXPERIMENTS.md were generated). One session
+is reused so the chain DataFrames and collected series are generated
+once and shared across tables.
 """
 
 import pathlib
@@ -17,13 +19,25 @@ from _session import get_session
 
 from repro.core.tables import ALL_TABLES, to_markdown
 
+USAGE = f"usage: run_all.py [{' '.join(ALL_TABLES)}] [output.md]"
 
-def main(out_path: str | None = None) -> None:
+
+def parse_args(argv: list[str]) -> tuple[list[str], str | None]:
+    """Split the arguments into table keys (in order) and an output path."""
+    keys = [a for a in argv if a in ALL_TABLES]
+    paths = [a for a in argv if a not in ALL_TABLES]
+    if len(paths) > 1 or any(not p.endswith(".md") for p in paths):
+        sys.exit(f"unexpected arguments {paths}\n{USAGE}")
+    return keys or list(ALL_TABLES), paths[0] if paths else None
+
+
+def main(keys: list[str], out_path: str | None = None) -> None:
     spark = get_session("repro-all-tables")
     spark.sparkContext.setLogLevel("ERROR")
     chunks = []
     try:
-        for name, builder in ALL_TABLES.items():
+        for name in keys:
+            builder = ALL_TABLES[name]
             pdf = builder(spark)
             chunk = f"\n## Table {builder.__doc__.splitlines()[0].rstrip('.')}\n\n{to_markdown(pdf)}\n"
             print(chunk)
@@ -36,4 +50,4 @@ def main(out_path: str | None = None) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else None)
+    main(*parse_args(sys.argv[1:]))

@@ -6,7 +6,7 @@ Subpackages:
               (substitute for the paper's Google BigQuery data).
     windows — fixed (day/week/month) and sliding (N, M=N/2) windowing.
     metrics — Gini / Shannon entropy / Nakamoto coefficient, both as
-              numpy references and as Spark DataFrame aggregations.
+              numpy references and as one SQL query run on Spark.
     core    — measurement pipeline, summaries, anomaly detection and
               the T1–T8 table builders.
 """

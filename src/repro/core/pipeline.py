@@ -5,8 +5,10 @@ chain spec; ``measure_fixed`` / ``measure_sliding`` attach a window id
 and run the three-metric aggregation; the ``*_series`` helpers collect
 the per-window results to pandas sorted by window id (every series the
 paper plots is one such call). Collected series are memoized per
-(chain, seed, windowing) because several tables drill into the same
-series.
+(chain spec, seed, windowing) because several tables drill into the same
+series. Both caches are keyed on the spec's value (its ``repr``; a
+``ChainSpec`` is unhashable), so a modified spec that keeps the name
+never reads another spec's data.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def producers(
     spark: SparkSession, spec: ChainSpec, seed: int | None = None
 ) -> DataFrame:
     """Cached, persisted producer-credit DataFrame for a chain spec."""
-    key = (spec.name, seed)
+    key = (repr(spec), seed)
     if key not in _PRODUCER_CACHE:
         df = block_producers(spark, spec, seed=seed).persist()
         df.count()  # materialize once so every downstream job reuses it
@@ -79,7 +81,7 @@ def fixed_series(
     spark: SparkSession, spec: ChainSpec, granularity: str, seed: int | None = None
 ) -> pd.DataFrame:
     """Memoized collected series for fixed windows."""
-    key = (spec.name, seed, "fixed", granularity)
+    key = (repr(spec), seed, "fixed", granularity)
     if key not in _SERIES_CACHE:
         _SERIES_CACHE[key] = collect_series(
             measure_fixed(producers(spark, spec, seed), granularity)
@@ -91,7 +93,7 @@ def sliding_series(
     spark: SparkSession, spec: ChainSpec, granularity: str, seed: int | None = None
 ) -> pd.DataFrame:
     """Memoized collected series for sliding windows (M = N/2)."""
-    key = (spec.name, seed, "sliding", granularity)
+    key = (repr(spec), seed, "sliding", granularity)
     if key not in _SERIES_CACHE:
         _SERIES_CACHE[key] = collect_series(
             measure_sliding(producers(spark, spec, seed), spec, granularity)

@@ -1,17 +1,12 @@
 """Decentralization metrics (paper §II.B, Eqs. 1–4).
 
-``reference`` holds numpy ground-truth implementations; the Spark
-versions in ``spark_metrics`` compute all three metrics per window with
-DataFrame aggregations and window functions; ``sql`` carries the
-engine-portable SQL used to cross-check Spark against DuckDB.
+``reference`` holds numpy ground-truth implementations; ``sql`` holds
+the one SQL formulation of the per-window metrics, which Spark executes
+through ``spark_metrics`` and the DuckDB oracle executes in the tests.
 """
 
-from repro.metrics.reference import gini, nakamoto, shannon_entropy
-from repro.metrics.spark_metrics import (
-    NAKAMOTO_THRESHOLD_PCT,
-    decentralization_by_window,
-    per_window_counts,
-)
+from repro.metrics.reference import NAKAMOTO_THRESHOLD_PCT, gini, nakamoto, shannon_entropy
+from repro.metrics.spark_metrics import decentralization_by_window, per_window_counts
 
 __all__ = [
     "gini",

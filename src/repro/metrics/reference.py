@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Nakamoto threshold from the paper's Eq. 4: minimum k with Σ pᵢ ≥ 0.51.
-NAKAMOTO_THRESHOLD = 0.51
+#: Nakamoto threshold of the paper's Eq. 4 in integer percent: the
+#: coefficient is the minimum k whose combined share Σ pᵢ reaches it. The
+#: metrics SQL compares integers against it, so the boundary is exact.
+NAKAMOTO_THRESHOLD_PCT = 51
+NAKAMOTO_THRESHOLD = NAKAMOTO_THRESHOLD_PCT / 100
 
 
 def _as_counts(x) -> np.ndarray:
@@ -53,11 +56,11 @@ def shannon_entropy(x) -> float:
 
 def nakamoto(x, threshold: float = NAKAMOTO_THRESHOLD) -> int:
     """Nakamoto coefficient (Eq. 4): minimum number of producers whose
-    combined share reaches ``threshold`` (51 % by default)."""
+    combined share reaches ``threshold`` (``NAKAMOTO_THRESHOLD`` by default)."""
     a = np.sort(_as_counts(x))[::-1]
     shares = np.cumsum(a) / a.sum()
     # First index with cumulative share >= threshold; the 1e-12 slack
-    # keeps exact-boundary integer cases (e.g. 51 of 100) in, matching
-    # the exact integer arithmetic of the Spark implementation.
+    # keeps exact-boundary integer cases (a top share of exactly the
+    # threshold) in, matching the exact integer arithmetic of the SQL.
     k = int(np.searchsorted(shares, threshold - 1e-12, side="left")) + 1
     return min(k, a.size)

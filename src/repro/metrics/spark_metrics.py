@@ -1,112 +1,36 @@
-"""Per-window decentralization metrics as Spark DataFrame aggregations.
+"""Per-window decentralization metrics on Spark.
 
-This is the paper's core computation expressed in Catalyst-planned
-dataflow. Input is the producer-credit relation with a window-id column
-(added by ``repro.windows``); output is one row per window carrying all
-three metrics plus population counts.
-
-Formulations (all exact, no sampling):
-
-* **Gini** — rank identity over per-miner counts sorted ascending with
-  ``row_number``: ``G = 2·Σ rn·cnt / (n·Σcnt) − (n+1)/n``. Ties may be
-  ranked in any strict order without changing the sum, so the
-  ``row_number`` tie-break on miner label only fixes determinism.
-* **Shannon entropy** — ``E = log₂T − (Σ cnt·log₂cnt)/T`` with
-  ``T = Σcnt``, the algebraic rearrangement of Eqs. 2–3 that avoids a
-  second pass for the total.
-* **Nakamoto** — cumulative sum over counts sorted descending; the
-  coefficient is the smallest rank with ``100·cum ≥ 51·T`` (integer
-  arithmetic, exact at the 51 % boundary).
+Input is the producer-credit relation with a window-id column (added by
+``repro.windows``); output is one row per window carrying all three
+metrics plus population counts. Both functions execute the SQL text of
+``repro.metrics.sql`` -- the same text the DuckDB oracle runs in the
+tests -- with the input DataFrame bound as a relation by
+``SparkSession.sql``. The formulations are documented there.
 """
 
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
-#: Integer-percent threshold of the paper's Eq. 4 (Σ pᵢ ≥ 0.51).
-NAKAMOTO_THRESHOLD_PCT = 51
+from repro.metrics.sql import counts_sql, metrics_sql
 
 
-def per_window_counts(
-    df: DataFrame, window_col: str, miner_col: str = "miner"
-) -> DataFrame:
+def per_window_counts(df: DataFrame, window_col: str) -> DataFrame:
     """Producer credit counts per (window, miner): the NB_{A_i} of Eq. 1."""
-    return df.groupBy(window_col, miner_col).agg(F.count("*").alias("cnt"))
+    # Bind a projection, not ``df`` itself: ``SparkSession.sql`` drops the
+    # temporary view it binds, and dropping a view uncaches every cached
+    # plan equal to the view's, so binding a persisted ``df`` would
+    # unpersist it. (Spark normalizes a no-op projection away, so a
+    # persisted ``df`` of exactly these two columns still would be.)
+    credits = df.select(window_col, "miner")
+    return df.sparkSession.sql(counts_sql("{credits}", window_col), credits=credits)
 
 
-def _gini_expr() -> Column:
-    n = F.count("*")
-    total = F.sum("cnt")
-    return (
-        (2.0 * F.sum(F.col("rn_asc") * F.col("cnt"))) / (n * total)
-        - (n + 1.0) / n
-    ).alias("gini")
-
-
-def _entropy_expr() -> Column:
-    total = F.sum("cnt")
-    return (
-        F.log2(total) - F.sum(F.col("cnt") * F.log2("cnt")) / total
-    ).alias("entropy")
-
-
-def gini_by_window(counts: DataFrame, window_col: str, miner_col: str = "miner") -> DataFrame:
-    """Gini coefficient per window from per-(window, miner) counts."""
-    w = Window.partitionBy(window_col).orderBy("cnt", miner_col)
-    return (
-        counts.withColumn("rn_asc", F.row_number().over(w))
-        .groupBy(window_col)
-        .agg(_gini_expr())
-    )
-
-
-def entropy_by_window(counts: DataFrame, window_col: str) -> DataFrame:
-    """Shannon entropy (bits) per window from per-(window, miner) counts."""
-    return counts.groupBy(window_col).agg(_entropy_expr())
-
-
-def nakamoto_by_window(
-    counts: DataFrame, window_col: str, miner_col: str = "miner",
-    threshold_pct: int = NAKAMOTO_THRESHOLD_PCT,
-) -> DataFrame:
-    """Nakamoto coefficient per window from per-(window, miner) counts."""
-    w_desc = Window.partitionBy(window_col).orderBy(F.desc("cnt"), miner_col)
-    w_all = Window.partitionBy(window_col)
-    ranked = counts.select(
-        window_col,
-        F.row_number().over(w_desc).alias("rn_desc"),
-        F.sum("cnt").over(w_desc.rowsBetween(Window.unboundedPreceding, 0)).alias("cum"),
-        F.sum("cnt").over(w_all).alias("total"),
-    )
-    return (
-        ranked.where(100 * F.col("cum") >= threshold_pct * F.col("total"))
-        .groupBy(window_col)
-        .agg(F.min("rn_desc").alias("nakamoto"))
-    )
-
-
-def decentralization_by_window(
-    df: DataFrame, window_col: str, miner_col: str = "miner"
-) -> DataFrame:
+def decentralization_by_window(df: DataFrame, window_col: str) -> DataFrame:
     """All three metrics per window, in one DataFrame.
 
-    Gini and entropy share a single aggregation pass over the ranked
-    counts; Nakamoto needs its own descending cumulative scan and is
-    joined back on the window id. Output columns: ``window_col,
-    n_miners, n_credits, gini, entropy, nakamoto``.
+    Output columns: ``window_col, n_miners, n_credits, gini, entropy,
+    nakamoto``.
     """
-    counts = per_window_counts(df, window_col, miner_col)
-    w_asc = Window.partitionBy(window_col).orderBy("cnt", miner_col)
-    ge = (
-        counts.withColumn("rn_asc", F.row_number().over(w_asc))
-        .groupBy(window_col)
-        .agg(
-            F.count("*").alias("n_miners"),
-            F.sum("cnt").alias("n_credits"),
-            _gini_expr(),
-            _entropy_expr(),
-        )
-    )
-    nk = nakamoto_by_window(counts, window_col, miner_col)
-    return ge.join(nk, on=window_col, how="inner")
+    counts = per_window_counts(df, window_col)
+    return df.sparkSession.sql(metrics_sql("{counts}", window_col), counts=counts)

@@ -1,13 +1,36 @@
-"""Engine-portable SQL for the metric computations.
+"""The metrics layer as SQL text (paper §II.B, Eqs. 1–4).
 
-The same SQL text runs on Spark SQL and DuckDB (the correctness
-oracle), so `repro.oracle.assert_equivalent` can diff the two engines
-over identical input. Each builder takes the window column name and the
-input table name; the input relation is the producer-credit relation
-(one row per credit) with that window column attached.
+This text is the one formulation of the metrics: Spark executes it in
+production (``repro.metrics.spark_metrics``) and the DuckDB oracle
+executes the same text in the tests, so the oracle checks the
+production query itself. ``counts_sql`` turns the producer-credit
+relation (one row per credit, with a window column) into per-(window,
+miner) counts; ``metrics_sql`` turns those counts into one row per
+window.
+
+``metrics_sql`` orders each window's counts once, by ``(cnt, miner)``
+ascending, and derives from that single window spec the rank ``rn``,
+the exclusive prefix sum ``excl`` and the window total ``T``:
+
+* **Gini** — rank identity ``G = 2·Σ rn·cnt / (n·T) − (n+1)/n``. Ties
+  may be ranked in any strict order without changing the sum; the
+  ``miner`` tie-break only fixes determinism.
+* **Shannon entropy** — ``E = log₂T − Σ cnt·log₂cnt / T``, the algebraic
+  rearrangement of Eqs. 2–3.
+* **Nakamoto** — the top k producers are the last k rows in this order
+  and together hold ``T − excl`` of the k-th row from the end, so the
+  coefficient is
+  ``n + 1 − #{rows : 100·excl ≤ (100 − threshold)·T}``. The arithmetic
+  is exact on integers and no tie order can change it.
+
+Portability: each window spec is written out in full (Spark rejects a
+frame clause on a named window), and float literals are written
+``2e0``/``1e0`` (Spark parses ``2.0`` as DECIMAL).
 """
 
 from __future__ import annotations
+
+from repro.metrics.reference import NAKAMOTO_THRESHOLD_PCT
 
 
 def counts_sql(table: str, window_col: str) -> str:
@@ -18,52 +41,31 @@ def counts_sql(table: str, window_col: str) -> str:
     )
 
 
-def gini_sql(table: str, window_col: str) -> str:
-    """Gini per window via the ascending-rank identity."""
+def metrics_sql(counts_table: str, window_col: str) -> str:
+    """All three metrics per window from per-(window, miner) counts.
+
+    Output columns: ``window_col, n_miners, n_credits, gini, entropy,
+    nakamoto``.
+    """
+    spec = f"PARTITION BY {window_col} ORDER BY cnt, miner"
     return f"""
-        WITH counts AS ({counts_sql(table, window_col)}),
-        ranked AS (
+        WITH ranked AS (
             SELECT {window_col}, cnt,
-                   row_number() OVER (PARTITION BY {window_col}
-                                      ORDER BY cnt, miner) AS rn
-            FROM counts
+                   row_number() OVER ({spec}) AS rn,
+                   sum(cnt) OVER ({spec} ROWS BETWEEN UNBOUNDED PRECEDING
+                                  AND CURRENT ROW) - cnt AS excl,
+                   sum(cnt) OVER ({spec} ROWS BETWEEN UNBOUNDED PRECEDING
+                                  AND UNBOUNDED FOLLOWING) AS total
+            FROM {counts_table}
         )
         SELECT {window_col},
-               -- 2e0/1e0: float literals parse as DOUBLE on both Spark
-               -- and DuckDB (Spark reads 2.0 as DECIMAL)
+               count(*) AS n_miners,
+               sum(cnt) AS n_credits,
                (2e0 * sum(rn * cnt)) / (count(*) * sum(cnt))
-                   - (count(*) + 1e0) / count(*) AS gini
+                   - (count(*) + 1e0) / count(*) AS gini,
+               log2(sum(cnt)) - sum(cnt * log2(cnt)) / sum(cnt) AS entropy,
+               count(*) + 1
+                   - count_if(100 * excl <= {100 - NAKAMOTO_THRESHOLD_PCT} * total)
+                   AS nakamoto
         FROM ranked GROUP BY {window_col}
-    """
-
-
-def entropy_sql(table: str, window_col: str) -> str:
-    """Shannon entropy (bits) per window: log2(T) - sum(c*log2(c))/T."""
-    return f"""
-        WITH counts AS ({counts_sql(table, window_col)})
-        SELECT {window_col},
-               log2(sum(cnt)) - sum(cnt * log2(cnt)) / sum(cnt) AS entropy
-        FROM counts GROUP BY {window_col}
-    """
-
-
-def nakamoto_sql(table: str, window_col: str, threshold_pct: int = 51) -> str:
-    """Nakamoto coefficient per window via descending cumulative sums."""
-    return f"""
-        WITH counts AS ({counts_sql(table, window_col)}),
-        ranked AS (
-            SELECT {window_col},
-                   row_number() OVER (PARTITION BY {window_col}
-                                      ORDER BY cnt DESC, miner) AS rn,
-                   sum(cnt) OVER (PARTITION BY {window_col}
-                                  ORDER BY cnt DESC, miner
-                                  ROWS BETWEEN UNBOUNDED PRECEDING
-                                  AND CURRENT ROW) AS cum,
-                   sum(cnt) OVER (PARTITION BY {window_col}) AS total
-            FROM counts
-        )
-        SELECT {window_col}, min(rn) AS nakamoto
-        FROM ranked
-        WHERE 100 * cum >= {threshold_pct} * total
-        GROUP BY {window_col}
     """

@@ -3,17 +3,12 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import synth_data
 from repro.metrics import sql as msql
-from repro.metrics.reference import gini, nakamoto, shannon_entropy
-from repro.metrics.spark_metrics import (
-    decentralization_by_window,
-    entropy_by_window,
-    gini_by_window,
-    nakamoto_by_window,
-    per_window_counts,
-)
+from repro.metrics.reference import NAKAMOTO_THRESHOLD_PCT, gini, nakamoto, shannon_entropy
+from repro.metrics.spark_metrics import decentralization_by_window, per_window_counts
 from repro.oracle import assert_equivalent
 
 
@@ -50,6 +45,13 @@ def credit_frames(spark):
     return out
 
 
+def _metrics(spark, windows: dict) -> pd.DataFrame:
+    """Run the kernel over windows given as {window_id: {miner: count}}."""
+    rows = [(w, m) for w, dist in windows.items() for m, c in dist.items() for _ in range(c)]
+    sdf = spark.createDataFrame(pd.DataFrame(rows, columns=["window_id", "miner"]))
+    return decentralization_by_window(sdf, "window_id").toPandas().set_index("window_id")
+
+
 # ---------------------------------------------------------------------------
 # Spark vs numpy reference
 # ---------------------------------------------------------------------------
@@ -74,22 +76,53 @@ def test_all_metrics_match_reference(credit_frames, kind, seed):
         assert int(row["n_credits"]) == len(grp)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_single_metric_helpers_agree_with_combined(credit_frames, kind):
-    _, sdf = credit_frames[(kind, 0)]
-    counts = per_window_counts(sdf, "window_id")
-    combined = decentralization_by_window(sdf, "window_id").toPandas().set_index("window_id")
-    g = gini_by_window(counts, "window_id").toPandas().set_index("window_id")
-    e = entropy_by_window(counts, "window_id").toPandas().set_index("window_id")
-    n = nakamoto_by_window(counts, "window_id").toPandas().set_index("window_id")
-    for wid in combined.index:
-        assert combined.loc[wid, "gini"] == pytest.approx(g.loc[wid, "gini"], abs=1e-12)
-        assert combined.loc[wid, "entropy"] == pytest.approx(e.loc[wid, "entropy"], abs=1e-12)
-        assert combined.loc[wid, "nakamoto"] == n.loc[wid, "nakamoto"]
+# Window count distributions for the property test. Besides arbitrary
+# counts, three cases get their own strategy because a random draw rarely
+# hits them: heavy ties (two distinct values), a single miner, and a top-k
+# share of exactly the Nakamoto threshold.
+any_counts = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=30)
+tied_counts = st.tuples(
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 25), st.integers(0, 25)
+).map(lambda t: [t[0]] * t[2] + [t[1]] * t[3])
+single_miner = st.integers(min_value=1, max_value=500).map(lambda c: [c])
+
+
+def _parts(draw, total: int, cap: int) -> list[int]:
+    """Positive parts, each at most ``cap``, that sum to ``total``."""
+    parts = []
+    while total:
+        parts.append(draw(st.integers(1, min(cap, total))))
+        total -= parts[-1]
+    return parts
+
+
+@st.composite
+def boundary_counts(draw):
+    """T = 100·s and the top producers hold exactly the threshold share."""
+    s = draw(st.integers(1, 4))
+    top = _parts(draw, NAKAMOTO_THRESHOLD_PCT * s, NAKAMOTO_THRESHOLD_PCT * s)
+    return top + _parts(draw, (100 - NAKAMOTO_THRESHOLD_PCT) * s, min(top))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.one_of(any_counts, tied_counts, single_miner, boundary_counts()),
+                min_size=1, max_size=6))
+def test_kernel_matches_reference_property(spark, windows):
+    """Several generated windows per Spark job, each checked against numpy."""
+    got = _metrics(spark, {w: {f"m{i}": c for i, c in enumerate(counts)}
+                           for w, counts in enumerate(windows)})
+    assert len(got) == len(windows)
+    for w, counts in enumerate(windows):
+        row = got.loc[w]
+        assert row["gini"] == pytest.approx(gini(counts), abs=1e-9)
+        assert row["entropy"] == pytest.approx(shannon_entropy(counts), abs=1e-9)
+        assert int(row["nakamoto"]) == nakamoto(counts)
+        assert int(row["n_miners"]) == len(counts)
+        assert int(row["n_credits"]) == sum(counts)
 
 
 # ---------------------------------------------------------------------------
-# Spark vs DuckDB oracle (same SQL on both engines)
+# Spark vs DuckDB oracle: both engines run the SQL text of repro.metrics.sql
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -100,42 +133,45 @@ def test_counts_vs_oracle(credit_frames, kind, seed):
     assert_equivalent(got, msql.counts_sql("bp", "window_id"), bp=pdf)
 
 
+def _assert_metric_vs_oracle(credit_frames, kind, seed, metric):
+    """Spark's kernel and DuckDB running ``metrics_sql`` over ``counts_sql``
+    agree on ``metric`` and the window size columns."""
+    pdf, sdf = credit_frames[(kind, seed)]
+    cols = ["window_id", "n_miners", "n_credits", metric]
+    got = decentralization_by_window(sdf, "window_id").select(*cols)
+    counts = f"({msql.counts_sql('bp', 'window_id')})"
+    sql = f"SELECT {', '.join(cols)} FROM ({msql.metrics_sql(counts, 'window_id')}) m"
+    assert_equivalent(got, sql, bp=pdf)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gini_vs_oracle(credit_frames, kind, seed):
-    pdf, sdf = credit_frames[(kind, seed)]
-    got = gini_by_window(per_window_counts(sdf, "window_id"), "window_id")
-    assert_equivalent(got, msql.gini_sql("bp", "window_id"), bp=pdf)
+    _assert_metric_vs_oracle(credit_frames, kind, seed, "gini")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_entropy_vs_oracle(credit_frames, kind, seed):
-    pdf, sdf = credit_frames[(kind, seed)]
-    got = entropy_by_window(per_window_counts(sdf, "window_id"), "window_id")
-    assert_equivalent(got, msql.entropy_sql("bp", "window_id"), bp=pdf)
+    _assert_metric_vs_oracle(credit_frames, kind, seed, "entropy")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_nakamoto_vs_oracle(credit_frames, kind, seed):
-    pdf, sdf = credit_frames[(kind, seed)]
-    got = nakamoto_by_window(per_window_counts(sdf, "window_id"), "window_id")
-    assert_equivalent(got, msql.nakamoto_sql("bp", "window_id"), bp=pdf)
+    _assert_metric_vs_oracle(credit_frames, kind, seed, "nakamoto")
 
 
-def test_spark_sql_text_runs_on_spark_too(spark, credit_frames):
-    """The shared SQL is genuinely portable: run it through Spark SQL and
-    compare with the DataFrame implementation."""
-    pdf, sdf = credit_frames[("zipf", 0)]
-    sdf.createOrReplaceTempView("bp_view")
-    via_sql = spark.sql(msql.gini_sql("bp_view", "window_id")).toPandas()
-    via_df = (
-        gini_by_window(per_window_counts(sdf, "window_id"), "window_id").toPandas()
-    )
-    merged = via_sql.merge(via_df, on="window_id", suffixes=("_sql", "_df"))
-    assert len(merged) == len(via_df)
-    assert np.allclose(merged["gini_sql"], merged["gini_df"], atol=1e-9)
+def test_persisted_input_stays_cached(spark):
+    """Binding the input as a SQL relation must not unpersist it."""
+    pdf = _credits_pdf("zipf", 0).assign(block_idx=np.arange(4_000))
+    sdf = spark.createDataFrame(pdf).persist()
+    try:
+        sdf.count()
+        decentralization_by_window(sdf, "window_id").collect()
+        assert sdf.storageLevel.useMemory
+    finally:
+        sdf.unpersist()
 
 
 # ---------------------------------------------------------------------------
@@ -152,34 +188,25 @@ def test_spark_sql_text_runs_on_spark_too(spark, credit_frames):
     ],
 )
 def test_spark_nakamoto_threshold_exact(spark, dist, expected):
-    rows = [("w", m) for m, c in dist.items() for _ in range(c)]
-    sdf = spark.createDataFrame(pd.DataFrame(rows, columns=["window_id", "miner"]))
-    got = nakamoto_by_window(per_window_counts(sdf, "window_id"), "window_id").collect()
-    assert got[0]["nakamoto"] == expected
+    assert _metrics(spark, {"w": dist}).loc["w", "nakamoto"] == expected
 
 
 def test_spark_gini_with_heavy_ties(spark):
     """row_number tie-breaking must not change the Gini value."""
-    pdf = pd.DataFrame(
-        {"window_id": 0, "miner": [f"m{i}" for i in range(40)]}
-    )  # all counts equal 1
-    sdf = spark.createDataFrame(pdf)
-    got = gini_by_window(per_window_counts(sdf, "window_id"), "window_id").collect()
-    assert got[0]["gini"] == pytest.approx(0.0, abs=1e-12)
+    got = _metrics(spark, {0: {f"m{i}": 1 for i in range(40)}})  # all counts equal 1
+    assert got.loc[0, "gini"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_metrics_on_synth_data_keys(spark):
-    """Tie-in with the provided synth_data generators: zipf-distributed
-    keys must measure as materially less equal than uniform keys."""
-    z = synth_data.zipf_keys(spark, n=5_000, n_keys=200, alpha=1.4, seed=7)
-    u = synth_data.uniform_keys(spark, n=5_000, n_keys=200, seed=7)
-    from pyspark.sql import functions as F
-
-    def as_credits(df):
-        return df.select(F.lit(0).alias("window_id"), F.col("k").cast("string").alias("miner"))
-
-    gz = decentralization_by_window(as_credits(z), "window_id").collect()[0]
-    gu = decentralization_by_window(as_credits(u), "window_id").collect()[0]
-    assert gz["gini"] > gu["gini"] + 0.1
-    assert gz["entropy"] < gu["entropy"]
-    assert gz["nakamoto"] < gu["nakamoto"]
+def test_metrics_rank_zipf_below_uniform(spark):
+    """Zipf-distributed miners must measure as materially less equal than
+    uniform miners."""
+    z, u = (
+        decentralization_by_window(
+            spark.createDataFrame(_credits_pdf(kind, 7, n_windows=1, n_rows=5_000)),
+            "window_id",
+        ).collect()[0]
+        for kind in ("zipf", "uniform")
+    )
+    assert z["gini"] > u["gini"] + 0.1
+    assert z["entropy"] < u["entropy"]
+    assert z["nakamoto"] < u["nakamoto"]

@@ -1,5 +1,7 @@
 """End-to-end pipeline tests on the tiny chain."""
 
+import dataclasses
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -17,6 +19,16 @@ def test_producers_cached_identity(spark, tiny_spec, tiny_df):
 def test_producers_distinct_per_seed(spark, tiny_spec, tiny_df):
     other = pipeline.producers(spark, tiny_spec, seed=123)
     assert other is not tiny_df
+
+
+def test_caches_keyed_on_spec_value(spark, tiny_spec, tiny_df):
+    """A modified spec that keeps the name gets its own data and series."""
+    reseeded = dataclasses.replace(tiny_spec, seed=100)
+    other = pipeline.producers(spark, reseeded)
+    assert not other.toPandas().miner.equals(tiny_df.toPandas().miner)
+    assert not pipeline.fixed_series(spark, reseeded, "day").equals(
+        pipeline.fixed_series(spark, tiny_spec, "day")
+    )
 
 
 @pytest.mark.parametrize("granularity", ["day", "week", "month"])
