@@ -8,7 +8,8 @@ blocks contribute one credit to each of their one-off addresses (the
 attribution that reproduces the paper's day-14 statistics).
 
 Generation is fully vectorized numpy → pandas; ``block_producers``
-wraps the pandas frame in a Spark DataFrame. Everything is
+validates the pandas frame and ingests a compact form of it into Spark
+(int miner ids, a month column instead of timestamps). Everything is
 deterministic in ``seed`` (default: ``spec.seed``).
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.chain.anomalies import apply_surges, resolve_coinbase_anomalies
 from repro.chain.params import ChainSpec
@@ -133,9 +133,12 @@ def block_producers_pdf(spec: ChainSpec, seed: int | None = None) -> pd.DataFram
     """Generate the full-year producer-credit relation as pandas.
 
     Columns: ``block_number`` (int64), ``block_idx`` (int64, 0-based),
-    ``day_of_year`` (int32), ``ts`` (datetime64[ns]), ``miner`` (str).
-    One row per producer credit; blocks with a single coinbase address
-    yield one row, multi-coinbase anomaly blocks yield one per address.
+    ``day_of_year`` (int32), ``ts`` (datetime64[ns]), ``miner``
+    (categorical producer label). One row per producer credit; blocks
+    with a single coinbase address yield one row, multi-coinbase anomaly
+    blocks yield one per address. The categories are the
+    :func:`miner_universe` labels followed by the anomaly addresses, so a
+    label's category code is its index in that universe.
     """
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     counts = daily_counts(spec, rng)
@@ -143,54 +146,77 @@ def block_producers_pdf(spec: ChainSpec, seed: int | None = None) -> pd.DataFram
     n_ids = len(labels)
     n_blocks = int(counts.sum())
 
-    miner_idx = np.empty(n_blocks, dtype=np.int64)
-    sec_of_day = np.empty(n_blocks, dtype=np.int64)
+    codes = np.empty(n_blocks, dtype=np.int32)
+    ts = np.empty(n_blocks, dtype=np.int64)  # seconds into the year, then epoch ns
     pos = 0
     for day in range(1, spec.n_days + 1):
         c = int(counts[day - 1])
         p = day_probabilities(spec, day, pool_index, n_ids, medium_offset, sparse_offset)
         p = p * rng.lognormal(0.0, spec.share_noise_sigma, n_ids)
         p /= p.sum()
-        miner_idx[pos : pos + c] = rng.choice(n_ids, size=c, p=p)
-        sec_of_day[pos : pos + c] = (
-            np.floor(np.linspace(0, _SECONDS_PER_DAY, c, endpoint=False))
+        codes[pos : pos + c] = rng.choice(n_ids, size=c, p=p)
+        ts[pos : pos + c] = (day - 1) * _SECONDS_PER_DAY + np.floor(
+            np.linspace(0, _SECONDS_PER_DAY, c, endpoint=False)
         ).astype(np.int64)
         pos += c
+    ts *= 1_000_000_000
+    ts += pd.Timestamp(f"{spec.year}-01-01").value
+    day_of_year = np.repeat(np.arange(1, spec.n_days + 1, dtype=np.int32), counts)
 
-    day_of_block = np.repeat(
-        np.arange(1, spec.n_days + 1, dtype=np.int32), counts
-    )
+    apply_surges(spec, counts, codes, pool_index, rng)
 
-    apply_surges(spec, counts, miner_idx, pool_index, rng)
-
-    # Expand multi-coinbase anomaly blocks into one row per address.
-    rows_per_block = np.ones(n_blocks, dtype=np.int64)
+    # Expand multi-coinbase anomaly blocks into one row per address; each
+    # address gets a category code above the regular universe.
+    block_idx = np.arange(n_blocks, dtype=np.int64)
+    categories = list(labels)
     anomalies = resolve_coinbase_anomalies(spec, counts)
-    for gidx, size, _day, _k in anomalies:
-        rows_per_block[gidx] = size
-    row_offsets = np.concatenate([[0], np.cumsum(rows_per_block)])
-    rep = np.repeat(np.arange(n_blocks, dtype=np.int64), rows_per_block)
-    miner = labels[miner_idx][rep].copy()
-    for gidx, size, day, k in anomalies:
-        lo = int(row_offsets[gidx])
-        miner[lo : lo + size] = [
-            f"{spec.name}-anon-d{day:03d}-b{k}-{i:03d}" for i in range(size)
-        ]
+    if anomalies:
+        rows_per_block = np.ones(n_blocks, dtype=np.int64)
+        for gidx, size, _day, _k in anomalies:
+            rows_per_block[gidx] = size
+        row_offsets = np.concatenate([[0], np.cumsum(rows_per_block)])
+        block_idx = np.repeat(block_idx, rows_per_block)
+        del rows_per_block
+        codes, ts, day_of_year = codes[block_idx], ts[block_idx], day_of_year[block_idx]
+        for gidx, size, day, k in anomalies:
+            lo = int(row_offsets[gidx])
+            codes[lo : lo + size] = np.arange(len(categories), len(categories) + size)
+            categories += [f"{spec.name}-anon-d{day:03d}-b{k}-{i:03d}" for i in range(size)]
 
-    ts = (
-        pd.Timestamp(f"{spec.year}-01-01").value
-        + ((day_of_block[rep].astype(np.int64) - 1) * _SECONDS_PER_DAY + sec_of_day[rep])
-        * 1_000_000_000
-    )
     return pd.DataFrame(
         {
-            "block_number": spec.start_block + rep,
-            "block_idx": rep,
-            "day_of_year": day_of_block[rep],
-            "ts": pd.to_datetime(ts),
-            "miner": miner,
-        }
+            "block_number": spec.start_block + block_idx,
+            "block_idx": block_idx,
+            "day_of_year": day_of_year,
+            "ts": ts.view("datetime64[ns]"),
+            "miner": pd.Categorical.from_codes(codes, categories=categories),
+        },
+        copy=False,
     )
+
+
+def validate_producers(pdf: pd.DataFrame, spec: ChainSpec) -> None:
+    """Reject a producer-credit frame that breaks what the pipeline assumes.
+
+    Sliding windows take ``spec.total_blocks`` rather than the data and
+    index blocks by ``block_idx``, so ``block_idx`` must run from 0 to
+    ``total_blocks - 1`` in order without gaps (a block may repeat, one
+    row per credit); every row needs a producer; timestamps must be
+    monotone. Raises ``ValueError`` naming the first violation.
+    """
+    idx = pdf["block_idx"].to_numpy()
+    if len(idx) == 0 or idx[0] != 0 or idx[-1] != spec.total_blocks - 1:
+        raise ValueError(
+            f"block_idx must run from 0 to {spec.total_blocks - 1} "
+            f"for {spec.name}, got {idx[:1]}..{idx[-1:]}"
+        )
+    step = np.diff(idx)
+    if (step < 0).any() or (step > 1).any():
+        raise ValueError("block_idx goes backwards or skips a block")
+    if (pdf["miner"].cat.codes.to_numpy() < 0).any():
+        raise ValueError("credit rows without a miner")
+    if (np.diff(pdf["ts"].to_numpy().view(np.int64)) < 0).any():
+        raise ValueError("timestamps are not monotone in block order")
 
 
 def block_producers(
@@ -198,12 +224,27 @@ def block_producers(
 ) -> DataFrame:
     """Spark producer-credit DataFrame for a chain-year.
 
-    Adds ``chain`` and calendar ``date`` columns on top of
-    :func:`block_producers_pdf`.
+    Columns: ``block_number``, ``block_idx``, ``day_of_year``, ``month``
+    and ``miner`` as an int id, the category code of
+    :func:`block_producers_pdf`'s label (the index into
+    :func:`miner_universe`'s labels; anomaly addresses above it). The
+    frame is validated before it enters Spark, and the relation is
+    coalesced to one partition per core (``defaultParallelism``) instead
+    of one per Arrow batch.
     """
     pdf = block_producers_pdf(spec, seed=seed)
-    return (
-        spark.createDataFrame(pdf)
-        .withColumn("chain", F.lit(spec.name))
-        .withColumn("date", F.to_date("ts"))
+    validate_producers(pdf, spec)
+    relation = pd.DataFrame(
+        {
+            "block_number": pdf["block_number"].to_numpy(),
+            "block_idx": pdf["block_idx"].to_numpy(),
+            "day_of_year": pdf["day_of_year"].to_numpy(),
+            "month": pdf["ts"].dt.month.to_numpy(np.int8),
+            "miner": pdf["miner"].cat.codes.to_numpy(np.int32),
+        },
+        copy=False,
+    )
+    del pdf  # the timestamps and labels are not ingested
+    return spark.createDataFrame(relation).coalesce(
+        spark.sparkContext.defaultParallelism
     )

@@ -8,7 +8,10 @@ paper plots is one such call). Collected series are memoized per
 (chain spec, seed, windowing) because several tables drill into the same
 series. Both caches are keyed on the spec's value (its ``repr``; a
 ``ChainSpec`` is unhashable), so a modified spec that keeps the name
-never reads another spec's data.
+never reads another spec's data. A persisted DataFrame belongs to the
+session that built it, so the producer cache is keyed on the session
+too: a new session (after ``spark.stop()``, or ``newSession()``) gets
+its own relation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.metrics.spark_metrics import decentralization_by_window
 from repro.windows.fixed import with_fixed_window
 from repro.windows.sliding import with_sliding_window
 
-_PRODUCER_CACHE: dict[tuple[str, int | None], DataFrame] = {}
+_PRODUCER_CACHE: dict[tuple[SparkSession, str, int | None], DataFrame] = {}
 _SERIES_CACHE: dict[tuple, pd.DataFrame] = {}
 
 
@@ -42,7 +45,7 @@ def producers(
     spark: SparkSession, spec: ChainSpec, seed: int | None = None
 ) -> DataFrame:
     """Cached, persisted producer-credit DataFrame for a chain spec."""
-    key = (repr(spec), seed)
+    key = (spark, repr(spec), seed)
     if key not in _PRODUCER_CACHE:
         df = block_producers(spark, spec, seed=seed).persist()
         df.count()  # materialize once so every downstream job reuses it
@@ -101,17 +104,18 @@ def sliding_series(
     return _SERIES_CACHE[key].copy()
 
 
-def miner_share_series(window_df: DataFrame, miner: str) -> pd.DataFrame:
+def miner_share_series(window_df: DataFrame, miner_id: int) -> pd.DataFrame:
     """Per-window credit share of one miner (for surge drill-downs).
 
     ``window_df`` must be the windowed producer-credit relation (i.e.
-    after ``with_fixed_window`` / ``with_sliding_window``).
+    after ``with_fixed_window`` / ``with_sliding_window``); ``miner_id``
+    is the miner's id in it, its index in ``miner_universe(spec)``.
     """
     shares = (
         window_df.groupBy("window_id")
         .agg(
             (
-                F.sum(F.when(F.col("miner") == miner, 1).otherwise(0))
+                F.sum(F.when(F.col("miner") == miner_id, 1).otherwise(0))
                 / F.count("*")
             ).alias("share")
         )

@@ -19,6 +19,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
+from repro.chain.generator import miner_universe
 from repro.chain.params import BITCOIN_2019, ETHEREUM_2019
 from repro.core import pipeline
 from repro.core.anomaly_detect import detect_spikes
@@ -248,9 +249,10 @@ def table8_cross_interval(spark: SparkSession) -> pd.DataFrame:
     slide_windowed = with_sliding_window(
         df, spec.total_blocks, spec.sliding_sizes["day"]
     )
-    share_day = pipeline.miner_share_series(day_windowed, surge.miner)
-    share_week = pipeline.miner_share_series(week_windowed, surge.miner)
-    share_slide = pipeline.miner_share_series(slide_windowed, surge.miner)
+    surge_id = miner_universe(spec)[1][surge.miner]
+    share_day = pipeline.miner_share_series(day_windowed, surge_id)
+    share_week = pipeline.miner_share_series(week_windowed, surge_id)
+    share_slide = pipeline.miner_share_series(slide_windowed, surge_id)
 
     surge_days = (surge.start_day, surge.start_day + 1)
     near_day = fday[fday["window_id"].between(surge.start_day - 5, surge.start_day + 6)]

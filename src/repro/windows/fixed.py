@@ -23,14 +23,14 @@ def with_fixed_window(
     """Attach the fixed-window id for a granularity.
 
     Expects the producer-credit relation columns ``day_of_year`` and
-    ``date`` (see ``repro.chain.generator.block_producers``).
+    ``month`` (see ``repro.chain.generator.block_producers``).
     """
     if granularity == "day":
         expr = F.col("day_of_year").cast("int")
     elif granularity == "week":
         expr = ((F.col("day_of_year") - 1) / 7).cast("int") + 1
     elif granularity == "month":
-        expr = F.month("date")
+        expr = F.col("month").cast("int")
     else:
         raise ValueError(
             f"unknown granularity {granularity!r}; expected one of {FIXED_GRANULARITIES}"

@@ -3,14 +3,13 @@
 ``TINY_2019`` is a 30-day miniature chain (same generator code paths:
 two regimes, a coinbase anomaly, a boundary-straddling surge) for fast
 unit tests; the full calibrated BTC/ETH specs are exercised by the
-table tests and benchmarks.
+table tests and by ``perfbench``.
 """
 
 import pytest
 
 from repro.chain.params import (
     BITCOIN_2019,
-    ETHEREUM_2019,
     ChainSpec,
     CoinbaseAnomaly,
     DominantSurge,
@@ -58,11 +57,6 @@ def btc_spec() -> ChainSpec:
 
 
 @pytest.fixture(scope="session")
-def eth_spec() -> ChainSpec:
-    return ETHEREUM_2019
-
-
-@pytest.fixture(scope="session")
 def tiny_df(spark, tiny_spec):
     """Persisted producer-credit DataFrame for the tiny chain."""
     from repro.core import pipeline
@@ -75,10 +69,3 @@ def btc_df(spark, btc_spec):
     from repro.core import pipeline
 
     return pipeline.producers(spark, btc_spec)
-
-
-@pytest.fixture(scope="session")
-def eth_df(spark, eth_spec):
-    from repro.core import pipeline
-
-    return pipeline.producers(spark, eth_spec)

@@ -10,6 +10,7 @@ from repro.chain.generator import (
     daily_counts,
     day_probabilities,
     miner_universe,
+    validate_producers,
 )
 from repro.chain.params import BITCOIN_2019, ETHEREUM_2019
 from tests.conftest import TINY_2019
@@ -252,25 +253,92 @@ def test_pdf_pool_share_sanity(btc_pdf):
 # ---------------------------------------------------------------------------
 
 def test_spark_df_schema(tiny_df):
-    assert set(tiny_df.columns) >= {
-        "block_number", "block_idx", "day_of_year", "ts", "miner", "chain", "date",
-    }
-    assert dict(tiny_df.dtypes)["block_number"] == "bigint"
-    assert dict(tiny_df.dtypes)["date"] == "date"
+    assert tiny_df.dtypes == [
+        ("block_number", "bigint"),
+        ("block_idx", "bigint"),
+        ("day_of_year", "int"),
+        ("month", "tinyint"),
+        ("miner", "int"),
+    ]
 
 
-def test_spark_df_chain_column(tiny_df, tiny_spec):
-    vals = [r[0] for r in tiny_df.select("chain").distinct().collect()]
-    assert vals == [tiny_spec.name]
+def test_spark_df_miner_ids_map_to_pdf_labels(tiny_df, tiny_pdf):
+    """Row for row, the relation's miner id is the pdf label's category
+    code: the index into ``miner_universe``, anomaly addresses above it."""
+    got = tiny_df.toPandas()
+    assert list(got.block_idx) == list(tiny_pdf.block_idx)
+    categories = tiny_pdf.miner.cat.categories
+    assert list(categories[got.miner]) == list(tiny_pdf.miner.astype(str))
+    labels = miner_universe(TINY_2019)[0]
+    assert list(categories[: len(labels)]) == list(labels)
+    anon = tiny_pdf.miner.astype(str).str.contains("-anon-").to_numpy()
+    assert (got.miner[anon] >= len(labels)).all()
+    assert (got.miner[~anon] < len(labels)).all()
 
 
-def test_spark_df_date_matches_day_of_year(tiny_df):
-    from pyspark.sql import functions as F
+def test_spark_df_month_matches_ts(btc_df, btc_pdf):
+    """A full year, so every month boundary is crossed."""
+    got = btc_df.select("block_idx", "month").toPandas()
+    assert list(got.block_idx) == list(btc_pdf.block_idx)
+    assert (got.month.to_numpy() == btc_pdf.ts.dt.month.to_numpy()).all()
 
-    bad = tiny_df.where(F.dayofyear("date") != F.col("day_of_year")).count()
-    assert bad == 0
+
+def test_relation_partitions_at_most_one_per_core(spark, tiny_spec):
+    """The persisted relation has one partition per core at most, not
+    one per Arrow batch. Spark ingests a frame below the local-relation
+    threshold in one piece, so the threshold is lowered here to take the
+    batch path a full-size chain takes (10 rows per batch make ~150)."""
+    from repro.core import pipeline
+
+    cores = spark.sparkContext.defaultParallelism
+    session = spark.newSession()
+    session.conf.set("spark.sql.execution.arrow.pyspark.enabled", "true")
+    session.conf.set("spark.sql.execution.arrow.localRelationThreshold", "0")
+    session.conf.set("spark.sql.execution.arrow.maxRecordsPerBatch", "10")
+    assert tiny_spec.total_blocks > 10 * cores
+    df = pipeline.producers(session, tiny_spec)
+    assert df.rdd.getNumPartitions() <= cores
+    assert df.count() == len(block_producers_pdf(tiny_spec))
+    df.unpersist()
 
 
 def test_spark_df_row_count(tiny_df):
     pdf = block_producers_pdf(TINY_2019)
     assert tiny_df.count() == len(pdf)
+
+
+# ---------------------------------------------------------------------------
+# validation at the pipeline boundary
+# ---------------------------------------------------------------------------
+
+def test_validate_accepts_generated_frames(tiny_pdf, btc_pdf):
+    validate_producers(tiny_pdf, TINY_2019)
+    validate_producers(btc_pdf, BITCOIN_2019)
+
+
+@pytest.mark.parametrize(
+    "column,rows,value,match",
+    [
+        ("block_idx", [0], 1, "run from 0"),
+        ("block_idx", [-1], TINY_2019.total_blocks, "run from 0"),
+        ("block_idx", [700], 10, "backwards or skips"),
+        ("miner", [5], np.nan, "without a miner"),
+        ("ts", [900], pd.Timestamp("2019-01-01"), "not monotone"),
+    ],
+    ids=["starts-at-1", "ends-past-total", "goes-backwards", "null-miner",
+         "ts-goes-back"],
+)
+def test_validate_rejects_broken_frame(tiny_pdf, column, rows, value, match):
+    broken = tiny_pdf.copy()
+    broken.loc[tiny_pdf.index[rows], column] = value
+    with pytest.raises(ValueError, match=match):
+        validate_producers(broken, TINY_2019)
+
+
+def test_validate_rejects_missing_blocks(tiny_pdf):
+    with pytest.raises(ValueError, match="backwards or skips"):
+        validate_producers(tiny_pdf[tiny_pdf.block_idx != 500], TINY_2019)
+    with pytest.raises(ValueError, match="run from 0"):
+        validate_producers(tiny_pdf.iloc[:-60], TINY_2019)
+    with pytest.raises(ValueError, match="run from 0"):
+        validate_producers(tiny_pdf.iloc[:0], TINY_2019)

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.chain.generator import miner_universe
 from repro.core import pipeline
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
 from repro.windows.fixed import with_fixed_window
@@ -19,6 +20,17 @@ def test_producers_cached_identity(spark, tiny_spec, tiny_df):
 def test_producers_distinct_per_seed(spark, tiny_spec, tiny_df):
     other = pipeline.producers(spark, tiny_spec, seed=123)
     assert other is not tiny_df
+
+
+def test_producer_cache_bound_to_session(spark, tiny_spec, tiny_df):
+    """A persisted relation is never handed to another session."""
+    session = spark.newSession()
+    other = pipeline.producers(session, tiny_spec)
+    assert other.sparkSession is session
+    assert other is not tiny_df
+    assert pipeline.producers(session, tiny_spec) is other
+    assert pipeline.producers(spark, tiny_spec) is tiny_df
+    other.unpersist()
 
 
 def test_caches_keyed_on_spec_value(spark, tiny_spec, tiny_df):
@@ -101,8 +113,9 @@ def test_tiny_surge_caught_by_sliding_not_daily(spark, tiny_spec):
 
 def test_miner_share_series(spark, tiny_df, tiny_spec):
     surge = tiny_spec.surges[0]
+    surge_id = miner_universe(tiny_spec)[1][surge.miner]
     shares = pipeline.miner_share_series(
-        with_fixed_window(tiny_df, "day"), surge.miner
+        with_fixed_window(tiny_df, "day"), surge_id
     ).set_index("window_id")
     # surge days split the ~60 % take across the boundary
     assert shares.loc[surge.start_day, "share"] > 0.15
@@ -111,16 +124,18 @@ def test_miner_share_series(spark, tiny_df, tiny_spec):
     # sliding windows: one window must see a concentrated share
     sl = pipeline.miner_share_series(
         with_sliding_window(tiny_df, tiny_spec.total_blocks, tiny_spec.sliding_sizes["day"]),
-        surge.miner,
+        surge_id,
     )
     assert sl["share"].max() > shares["share"].max()
 
 
 def test_miner_share_sums_to_one_over_all_miners(spark, tiny_df):
-    windowed = with_fixed_window(tiny_df, "day")
-    miners = [r[0] for r in tiny_df.select("miner").distinct().collect()]
-    # spot-check one day: shares over all miners sum to 1
-    day1 = windowed.where(F.col("window_id") == 1)
-    total = day1.count()
-    top = day1.groupBy("miner").count().toPandas()
-    assert top["count"].sum() == total
+    """Over every miner id present in a window, the shares sum to 1."""
+    day1 = with_fixed_window(tiny_df, "day").where(F.col("window_id") == 1)
+    ids = [r[0] for r in day1.select("miner").distinct().collect()]
+    total = sum(
+        float(pipeline.miner_share_series(day1, miner_id)["share"].iloc[0])
+        for miner_id in ids
+    )
+    assert len(ids) > 1
+    assert total == pytest.approx(1.0, abs=1e-12)

@@ -16,6 +16,7 @@ def year_pdf():
         {
             "ts": days,
             "day_of_year": days.dayofyear,
+            "month": days.month,
             "miner": [f"m{i % 5}" for i in range(len(days))],
         }
     )
@@ -24,7 +25,7 @@ def year_pdf():
 
 @pytest.fixture(scope="module")
 def year_sdf(spark, year_pdf):
-    return spark.createDataFrame(year_pdf).withColumn("date", F.to_date("ts"))
+    return spark.createDataFrame(year_pdf)
 
 
 def test_day_window_is_day_of_year(year_sdf):
@@ -49,7 +50,7 @@ def test_week_window_count(year_sdf):
 
 def test_month_window_is_calendar_month(year_sdf):
     out = with_fixed_window(year_sdf, "month")
-    bad = out.where(F.month("date") != F.col("window_id")).count()
+    bad = out.where(F.month("ts") != F.col("window_id")).count()
     assert bad == 0
     assert out.select("window_id").distinct().count() == 12
 
