@@ -14,10 +14,8 @@ once and shared across tables.
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _session import get_session
-
 from repro.core.tables import ALL_TABLES, to_markdown
+from repro.session import get_session
 
 USAGE = f"usage: run_all.py [{' '.join(ALL_TABLES)}] [output.md]"
 

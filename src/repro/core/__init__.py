@@ -6,12 +6,14 @@ from repro.core.pipeline import (
     measure_fixed,
     measure_sliding,
     miner_share_series,
+    panes,
     producers,
     sliding_series,
 )
 
 __all__ = [
     "producers",
+    "panes",
     "measure_fixed",
     "measure_sliding",
     "collect_series",

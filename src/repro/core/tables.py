@@ -239,7 +239,7 @@ def table8_cross_interval(spark: SparkSession) -> pd.DataFrame:
     (§III.A motivation; §III.B 'abnormal change at N=120 / day 60')."""
     spec = BITCOIN_2019
     surge = spec.surges[0]
-    df = pipeline.producers(spark, spec)
+    df = pipeline.panes(spark, spec)
     fday = pipeline.fixed_series(spark, spec, "day")
     fweek = pipeline.fixed_series(spark, spec, "week")
     sday = pipeline.sliding_series(spark, spec, "day")

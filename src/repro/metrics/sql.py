@@ -3,10 +3,16 @@
 This text is the one formulation of the metrics: Spark executes it in
 production (``repro.metrics.spark_metrics``) and the DuckDB oracle
 executes the same text in the tests, so the oracle checks the
-production query itself. ``counts_sql`` turns the producer-credit
-relation (one row per credit, with a window column) into per-(window,
-miner) counts; ``metrics_sql`` turns those counts into one row per
-window.
+production query itself. Three statements run in sequence:
+
+* ``panes_sql`` counts the producer-credit relation (one row per credit)
+  once per (pane, day, month, miner); this is the only ``count(*)``.
+  A pane is ``P`` consecutive blocks, and ``P`` divides every sliding
+  window's size and step, so every fixed window (a set of whole days)
+  and every sliding window is a union of pane rows;
+* ``counts_sql`` rolls weighted credits (``window, miner, cnt``) up into
+  per-(window, miner) counts with ``sum(cnt)``;
+* ``metrics_sql`` turns those counts into one row per window.
 
 ``metrics_sql`` orders each window's counts once, by ``(cnt, miner)``
 ascending, and derives from that single window spec the rank ``rn``,
@@ -33,10 +39,23 @@ from __future__ import annotations
 from repro.metrics.reference import NAKAMOTO_THRESHOLD_PCT
 
 
-def counts_sql(table: str, window_col: str) -> str:
-    """Per-(window, miner) credit counts."""
+def panes_sql(table: str, pane_size: int) -> str:
+    """Credit counts per (pane, day, month, miner).
+
+    ``block_idx`` becomes the pane's first block index, a multiple of
+    ``pane_size``; a pane that crosses midnight yields one row per day.
+    """
+    pane = f"block_idx - block_idx % {pane_size}"
     return (
-        f"SELECT {window_col}, miner, count(*) AS cnt "
+        f"SELECT {pane} AS block_idx, day_of_year, month, miner, count(*) AS cnt "
+        f"FROM {table} GROUP BY {pane}, day_of_year, month, miner"
+    )
+
+
+def counts_sql(table: str, window_col: str) -> str:
+    """Per-(window, miner) credit counts from weighted credits."""
+    return (
+        f"SELECT {window_col}, miner, sum(cnt) AS cnt "
         f"FROM {table} GROUP BY {window_col}, miner"
     )
 

@@ -13,6 +13,9 @@ partial trailing windows are dropped).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -24,6 +27,18 @@ def num_windows(total_blocks: int, window_size: int, step: int) -> int:
     if total_blocks < window_size:
         return 0
     return (total_blocks - window_size) // step + 1
+
+
+def pane_size(window_sizes: Iterable[int]) -> int:
+    """The largest pane ``P`` that tiles every window of these sizes.
+
+    ``P`` is the gcd of every size ``N`` and step ``M = N // 2``, so every
+    window boundary ``i·M`` and ``i·M + N`` is a multiple of ``P``: a
+    window holds a pane whole or not at all, and assigning a pane by its
+    first block index assigns each of its blocks.
+    """
+    sizes = list(window_sizes)
+    return math.gcd(*sizes, *(n // 2 for n in sizes))
 
 
 def with_sliding_window(

@@ -58,10 +58,18 @@ def btc_spec() -> ChainSpec:
 
 @pytest.fixture(scope="session")
 def tiny_df(spark, tiny_spec):
-    """Persisted producer-credit DataFrame for the tiny chain."""
+    """Producer-credit DataFrame for the tiny chain, one row per credit."""
     from repro.core import pipeline
 
     return pipeline.producers(spark, tiny_spec)
+
+
+@pytest.fixture(scope="session")
+def tiny_panes(spark, tiny_spec):
+    """Persisted pane relation (weighted credits) for the tiny chain."""
+    from repro.core import pipeline
+
+    return pipeline.panes(spark, tiny_spec)
 
 
 @pytest.fixture(scope="session")

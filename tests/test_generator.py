@@ -284,7 +284,7 @@ def test_spark_df_month_matches_ts(btc_df, btc_pdf):
 
 
 def test_relation_partitions_at_most_one_per_core(spark, tiny_spec):
-    """The persisted relation has one partition per core at most, not
+    """The ingested relation has one partition per core at most, not
     one per Arrow batch. Spark ingests a frame below the local-relation
     threshold in one piece, so the threshold is lowered here to take the
     batch path a full-size chain takes (10 rows per batch make ~150)."""
@@ -299,7 +299,6 @@ def test_relation_partitions_at_most_one_per_core(spark, tiny_spec):
     df = pipeline.producers(session, tiny_spec)
     assert df.rdd.getNumPartitions() <= cores
     assert df.count() == len(block_producers_pdf(tiny_spec))
-    df.unpersist()
 
 
 def test_spark_df_row_count(tiny_df):

@@ -13,7 +13,8 @@ from repro.oracle import assert_equivalent
 
 
 def _credits_pdf(kind: str, seed: int, n_windows: int = 6, n_rows: int = 4_000):
-    """Producer-credit rows (window_id, miner) with zipf or uniform miners."""
+    """Producer-credit rows (window_id, miner, cnt = 1) with zipf or
+    uniform miners."""
     g = np.random.default_rng(seed)
     if kind == "zipf":
         ranks = np.arange(1, 81)
@@ -28,6 +29,7 @@ def _credits_pdf(kind: str, seed: int, n_windows: int = 6, n_rows: int = 4_000):
         {
             "window_id": g.integers(0, n_windows, n_rows).astype(np.int64),
             "miner": np.char.add("m", miners.astype(str)),
+            "cnt": np.ones(n_rows, dtype=np.int64),
         }
     )
 
@@ -47,8 +49,8 @@ def credit_frames(spark):
 
 def _metrics(spark, windows: dict) -> pd.DataFrame:
     """Run the kernel over windows given as {window_id: {miner: count}}."""
-    rows = [(w, m) for w, dist in windows.items() for m, c in dist.items() for _ in range(c)]
-    sdf = spark.createDataFrame(pd.DataFrame(rows, columns=["window_id", "miner"]))
+    rows = [(w, m, 1) for w, dist in windows.items() for m, c in dist.items() for _ in range(c)]
+    sdf = spark.createDataFrame(pd.DataFrame(rows, columns=["window_id", "miner", "cnt"]))
     return decentralization_by_window(sdf, "window_id").toPandas().set_index("window_id")
 
 
